@@ -59,18 +59,19 @@ Instance MakeInstance(int64_t num_pairs) {
   return instance;
 }
 
-// The pre-session SequentialLabeler::Run body, verbatim (including the
-// result bookkeeping it always paid for): the baseline the session's
+// The pre-session sequential labeler's loop (Section 3.2), writing the
+// same `LabelingReport` the session returns: the baseline the session's
 // sequential schedule is measured against.
-LabelingResult DirectSequential(const Instance& instance,
+LabelingReport DirectSequential(const Instance& instance,
                                 LabelOracle& oracle) {
-  LabelingResult result;
+  LabelingReport result;
   result.outcomes.resize(instance.pairs.size());
   ClusterGraph graph(NumObjectsSpanned(instance.pairs));
   for (int32_t pos : instance.order) {
     const CandidatePair& pair = instance.pairs[static_cast<size_t>(pos)];
     const Deduction deduction = graph.Deduce(pair.a, pair.b);
-    PairOutcome& outcome = result.outcomes[static_cast<size_t>(pos)];
+    PairOutcome& outcome =
+        result.outcomes[static_cast<size_t>(pos)].emplace();
     if (deduction == Deduction::kUndeduced) {
       outcome.label = oracle.GetLabel(pair.a, pair.b);
       outcome.source = LabelSource::kCrowdsourced;
@@ -87,13 +88,13 @@ LabelingResult DirectSequential(const Instance& instance,
   return result;
 }
 
-// The pre-session ParallelLabeler round engine, verbatim (inline oracle
-// resolution, single-threaded — the dispatch comparison must not be
-// drowned in pool traffic).
-LabelingResult DirectRoundParallel(const Instance& instance,
+// The pre-session round engine of Algorithm 2 (inline oracle resolution,
+// single-threaded — the dispatch comparison must not be drowned in pool
+// traffic), writing the same `LabelingReport` the session returns.
+LabelingReport DirectRoundParallel(const Instance& instance,
                                    LabelOracle& oracle) {
   const CandidateSet& pairs = instance.pairs;
-  LabelingResult result;
+  LabelingReport result;
   result.outcomes.resize(pairs.size());
   std::vector<std::optional<Label>> labels(pairs.size());
   size_t num_labeled = 0;
@@ -104,8 +105,8 @@ LabelingResult DirectRoundParallel(const Instance& instance,
       const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
       const Label label = oracle.GetLabel(pair.a, pair.b);
       labels[static_cast<size_t>(pos)] = label;
-      result.outcomes[static_cast<size_t>(pos)] = {
-          label, LabelSource::kCrowdsourced};
+      result.outcomes[static_cast<size_t>(pos)] =
+          PairOutcome{label, LabelSource::kCrowdsourced};
       ++result.num_crowdsourced;
       ++num_labeled;
     }
@@ -122,8 +123,8 @@ LabelingResult DirectRoundParallel(const Instance& instance,
       const Deduction deduction = graph.Deduce(pair.a, pair.b);
       if (deduction != Deduction::kUndeduced) {
         label = DeductionToLabel(deduction);
-        result.outcomes[static_cast<size_t>(pos)] = {*label,
-                                                     LabelSource::kDeduced};
+        result.outcomes[static_cast<size_t>(pos)] =
+            PairOutcome{*label, LabelSource::kDeduced};
         ++result.num_deduced;
         ++num_labeled;
       }

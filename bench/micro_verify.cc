@@ -144,9 +144,8 @@ BENCHMARK(BM_BoundedJaccardSeeded)
     ->Args({512, 5})
     ->Args({512, 8});
 
-// The raw merge variants at equal sizes: branch-per-element vs the
-// branchless block merge the dispatcher uses. Kept measured so the
-// dispatch choice stays an empirical one.
+// The raw branch-per-element merge the dispatcher uses at equal sizes,
+// with `required` precomputed.
 void BM_MergeVerifyBranchy(benchmark::State& state) {
   const auto len = static_cast<size_t>(state.range(0));
   const double threshold = static_cast<double>(state.range(1)) / 10.0;
@@ -162,26 +161,11 @@ BENCHMARK(BM_MergeVerifyBranchy)
     ->Args({512, 5})
     ->Args({512, 8});
 
-void BM_MergeVerifyBlock(benchmark::State& state) {
-  const auto len = static_cast<size_t>(state.range(0));
-  const double threshold = static_cast<double>(state.range(1)) / 10.0;
-  const size_t required = RequiredOverlap(threshold, len, len);
-  RunKernel(state, len, len, threshold, [&](const Pair& p) {
-    return internal::MergeVerifyBlock(p.a.data(), p.a.size(), p.b.data(),
-                                      p.b.size(), 0, 0, 0, required);
-  });
-}
-BENCHMARK(BM_MergeVerifyBlock)
-    ->Args({8, 5})
-    ->Args({64, 5})
-    ->Args({512, 5})
-    ->Args({512, 8});
-
-// Size-skewed remainders: galloping vs linear block merge. The threshold
-// must keep the required overlap below the short side or both kernels
-// exit before merging anything; 0.001 keeps the merge honest at every
-// skew measured here, mirroring the seeded calls where one remainder is
-// nearly exhausted.
+// Size-skewed remainders: the galloping merge the dispatcher switches to
+// at kGallopSkew. The threshold must keep the required overlap below the
+// short side or the kernel exits before merging anything; 0.001 keeps the
+// merge honest at every skew measured here, mirroring the seeded calls
+// where one remainder is nearly exhausted.
 void BM_MergeVerifyGallopSkew(benchmark::State& state) {
   const auto len_a = static_cast<size_t>(state.range(0));
   const auto len_b = static_cast<size_t>(state.range(1));
@@ -193,22 +177,6 @@ void BM_MergeVerifyGallopSkew(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MergeVerifyGallopSkew)
-    ->Args({8, 512})
-    ->Args({16, 1024})
-    ->Args({8, 4096})
-    ->Args({4, 8192});
-
-void BM_MergeVerifyBlockSkew(benchmark::State& state) {
-  const auto len_a = static_cast<size_t>(state.range(0));
-  const auto len_b = static_cast<size_t>(state.range(1));
-  const double threshold = 0.001;
-  const size_t required = RequiredOverlap(threshold, len_a, len_b);
-  RunKernel(state, len_a, len_b, threshold, [&](const Pair& p) {
-    return internal::MergeVerifyBlock(p.a.data(), p.a.size(), p.b.data(),
-                                      p.b.size(), 0, 0, 0, required);
-  });
-}
-BENCHMARK(BM_MergeVerifyBlockSkew)
     ->Args({8, 512})
     ->Args({16, 1024})
     ->Args({8, 4096})

@@ -122,24 +122,6 @@ Status CheckBatchSafe(const LabelOracle& oracle, int num_threads) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LabelingReport
-// ---------------------------------------------------------------------------
-
-LabelingResult LabelingReport::ToLabelingResult() const {
-  LabelingResult result;
-  result.outcomes.reserve(outcomes.size());
-  for (const std::optional<PairOutcome>& outcome : outcomes) {
-    CJ_CHECK(outcome.has_value());  // budget-capped runs have no LabelingResult
-    result.outcomes.push_back(*outcome);
-  }
-  result.num_crowdsourced = num_crowdsourced;
-  result.num_deduced = num_deduced;
-  result.num_conflicts = num_conflicts;
-  result.crowdsourced_per_iteration = crowdsourced_per_iteration;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // Candidate streams
 // ---------------------------------------------------------------------------
 
@@ -200,8 +182,8 @@ std::optional<Label> OneToOneDeductionRule::Deduce(ObjectId a, ObjectId b) {
 void OneToOneDeductionRule::Observe(ObjectId a, ObjectId b, Label label,
                                     LabelSource source) {
   // Only crowd answers claim a partner; deduced matches (which can only
-  // come from transitivity) were never trusted by the legacy labeler and
-  // keeping that behavior preserves byte-identical outcomes.
+  // come from transitivity) are not trusted, which keeps the outcomes
+  // byte-identical to the pre-session one-to-one labeler.
   if (source != LabelSource::kCrowdsourced || label != Label::kMatching) {
     return;
   }

@@ -72,10 +72,10 @@ class MaterializedCandidateStream : public CandidateStream {
 /// fed back (`Observe`) only to the rules *before* the deducing one — they
 /// could not decide the pair, so the label is new information to them,
 /// while the deducing rule already implies it. Crowdsourced labels are fed
-/// to every rule. With the chain [transitive, one-to-one] this reproduces
-/// the legacy `OneToOneLabeler` byte for byte: a one-to-one deduction lands
-/// in the cluster graph (so transitivity can build on it), while a
-/// transitive deduction leaves the one-to-one matched-flags untouched.
+/// to every rule. With the chain [transitive, one-to-one] this is the
+/// paper's Section 8 one-to-one labeler: a one-to-one deduction lands in
+/// the cluster graph (so transitivity can build on it), while a transitive
+/// deduction leaves the one-to-one matched-flags untouched.
 class DeductionRule {
  public:
   virtual ~DeductionRule() = default;
@@ -135,10 +135,9 @@ class TransitiveDeductionRule : public DeductionRule {
 /// every entity has at most one record per collection, a crowd-confirmed
 /// match (a, b) implies every other pair touching a or b is non-matching.
 ///
-/// Chain it *after* the transitive rule so transitivity takes precedence
-/// (the legacy `OneToOneLabeler` semantics). Only crowd answers set the
-/// matched flags; `num_exclusivity_violations` counts crowd matches that
-/// contradict the assumption.
+/// Chain it *after* the transitive rule so transitivity takes precedence.
+/// Only crowd answers set the matched flags; `num_exclusivity_violations`
+/// counts crowd matches that contradict the assumption.
 class OneToOneDeductionRule : public DeductionRule {
  public:
   std::string_view name() const override { return "one-to-one"; }
@@ -243,16 +242,16 @@ using BatchLabelFn =
 ///   round-parallel   transitive only      any         materialized/stream
 ///   instant          transitive only      unbounded   materialized
 ///
-/// The five legacy engines are thin wrappers over specific cells:
-/// `SequentialLabeler` (sequential/unbounded), `ParallelLabeler`
-/// (round-parallel/unbounded), `BudgetLabeler` (sequential/budget),
-/// `OneToOneLabeler` (sequential/unbounded + one-to-one rule), and
-/// `InstantDecisionEngine` (instant/unbounded). Outputs are byte-identical
-/// to those engines, pinned by the session equivalence suite.
+/// The paper's labelers are specific cells: Section 3.2's one-pair-at-a-
+/// time labeler (sequential/unbounded), Algorithm 2 (round-parallel/
+/// unbounded), Section 5.2's instant decisions (instant/unbounded), the
+/// Whang et al. budget setting (sequential/budget), and Section 8's
+/// one-to-one labeler (sequential/unbounded + one-to-one rule). Outputs are
+/// byte-identical to the pre-session engines, pinned by the session
+/// equivalence suite against frozen reference ports.
 ///
 /// Determinism: with a batch-safe oracle (see `LabelOracle`) the report is
-/// identical for every `num_threads`, exactly as the legacy parallel
-/// labeler guaranteed.
+/// identical for every `num_threads`.
 class LabelingSession {
  public:
   explicit LabelingSession(LabelingSessionOptions options = {});
@@ -389,8 +388,7 @@ class LabelingSession {
 // ---------------------------------------------------------------------------
 
 /// Validates that `order` is a permutation of `[0, n)`. Every session run
-/// validates exactly once, at the session boundary; the legacy engines
-/// inherit the check through their wrappers.
+/// validates exactly once, at the session boundary.
 Status ValidateOrder(const std::vector<int32_t>& order, size_t n);
 
 /// \brief Identifies the pairs that can be crowdsourced in parallel

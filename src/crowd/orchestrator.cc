@@ -36,6 +36,44 @@ LabelingSession MakeInstantSession() {
   return LabelingSession(options);
 }
 
+// The retry policy of a campaign: `retry.seed == 0` derives the jitter
+// seed from the campaign seed.
+RetryPolicy CampaignRetry(const CrowdConfig& config) {
+  RetryPolicy retry = config.retry;
+  if (retry.seed == 0) retry.seed = config.seed;
+  return retry;
+}
+
+// Builds the oracle-driven local session every non-platform campaign
+// labels with and hands it to `run(session, oracle)`: the round-parallel
+// schedule over `config.num_threads` workers, the config's per-pair
+// transient fault model (faulted attempts burn backoff and retry
+// accounting but never an oracle call, so a transient-only plan
+// reproduces the fault-free labels exactly), and a batch-safe oracle —
+// exact ground truth when both error rates are zero, otherwise a
+// `HashNoisyOracle` seeded with `config.seed`.
+template <typename RunFn>
+Result<LabelingReport> RunLocalSession(const CrowdConfig& config,
+                                       const GroundTruthOracle& truth,
+                                       const RunFn& run) {
+  LabelingSessionOptions options;
+  options.schedule = SchedulePolicy::kRoundParallel;
+  options.num_threads = config.num_threads;
+  if (config.faults.enabled()) {
+    options.attempt_fault = FaultInjector(config.faults).AsAttemptFaultFn();
+    options.retry = CampaignRetry(config);
+  }
+  LabelingSession session(options);
+  if (config.false_negative_rate == 0.0 &&
+      config.false_positive_rate == 0.0) {
+    GroundTruthOracle oracle = truth;
+    return run(session, oracle);
+  }
+  HashNoisyOracle oracle(&truth, config.false_negative_rate,
+                         config.false_positive_rate, config.seed);
+  return run(session, oracle);
+}
+
 // Recovery-path telemetry for the HIT pump.
 struct PumpMetrics {
   obs::Counter* publish_retries_total;
@@ -69,9 +107,7 @@ struct PumpMetrics {
 class HitDriver {
  public:
   HitDriver(CrowdPlatform& platform, const CrowdConfig& config)
-      : platform_(platform), retry_(config.retry) {
-    if (retry_.seed == 0) retry_.seed = config.seed;
-  }
+      : platform_(platform), retry_(CampaignRetry(config)) {}
 
   /// Publishes one HIT, retrying transient (`kInternal`) failures.
   Status Publish(std::vector<PairTask> tasks) {
@@ -199,25 +235,33 @@ Result<std::vector<CompletedPair>> HitDriver::WaitNextBatch() {
   return std::vector<CompletedPair>{};
 }
 
-// Copies a fully-labeled report's labels into the campaign stats.
-void FillAmtStats(const LabelingReport& report, CrowdPlatform& platform,
+// Copies the platform's and the HIT pump's accounting into the campaign
+// stats.
+void FillPlatformStats(const CrowdPlatform& platform, const HitDriver& driver,
+                       AmtRunStats& stats) {
+  stats.num_hits = platform.num_hits_published();
+  stats.num_assignments = platform.num_assignments_completed();
+  stats.total_hours = platform.now_hours();
+  stats.total_cost_cents = platform.total_cost_cents();
+  stats.num_publish_retries = driver.num_publish_retries();
+  stats.num_hits_reposted = driver.num_hits_reposted();
+  stats.num_reask_hits = driver.num_reask_hits();
+  stats.num_assignments_abandoned = platform.num_assignments_abandoned();
+  stats.num_hits_expired = platform.num_hits_expired();
+}
+
+// Copies a fully-labeled report's labels and counts, plus the platform
+// accounting, into the campaign stats.
+void FillAmtStats(const LabelingReport& report, const CrowdPlatform& platform,
                   const HitDriver& driver, AmtRunStats& stats) {
   stats.final_labels.reserve(report.outcomes.size());
   for (const std::optional<PairOutcome>& outcome : report.outcomes) {
     CJ_CHECK(outcome.has_value());
     stats.final_labels.push_back(outcome->label);
   }
-  stats.num_hits = platform.num_hits_published();
-  stats.num_assignments = platform.num_assignments_completed();
-  stats.total_hours = platform.now_hours();
-  stats.total_cost_cents = platform.total_cost_cents();
   stats.num_crowdsourced_pairs = report.num_crowdsourced;
   stats.num_deduced_pairs = report.num_deduced;
-  stats.num_publish_retries = driver.num_publish_retries();
-  stats.num_hits_reposted = driver.num_hits_reposted();
-  stats.num_reask_hits = driver.num_reask_hits();
-  stats.num_assignments_abandoned = platform.num_assignments_abandoned();
-  stats.num_hits_expired = platform.num_hits_expired();
+  FillPlatformStats(platform, driver, stats);
 }
 
 }  // namespace
@@ -245,17 +289,8 @@ Result<AmtRunStats> RunNonTransitiveAmt(const CandidateSet& pairs,
       stats.final_labels[static_cast<size_t>(pair.position)] = pair.label;
     }
   }
-  stats.num_hits = platform.num_hits_published();
-  stats.num_assignments = platform.num_assignments_completed();
-  stats.total_hours = platform.now_hours();
-  stats.total_cost_cents = platform.total_cost_cents();
   stats.num_crowdsourced_pairs = static_cast<int64_t>(pairs.size());
-  stats.num_deduced_pairs = 0;
-  stats.num_publish_retries = driver.num_publish_retries();
-  stats.num_hits_reposted = driver.num_hits_reposted();
-  stats.num_reask_hits = driver.num_reask_hits();
-  stats.num_assignments_abandoned = platform.num_assignments_abandoned();
-  stats.num_hits_expired = platform.num_hits_expired();
+  FillPlatformStats(platform, driver, stats);
   return stats;
 }
 
@@ -357,26 +392,10 @@ Result<AmtRunStats> RunParallelAmt(const CandidateSet& pairs,
 Result<LabelingReport> RunLocalParallelLabeling(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
     const CrowdConfig& config, const GroundTruthOracle& truth) {
-  LabelingSessionOptions session_options;
-  session_options.schedule = SchedulePolicy::kRoundParallel;
-  session_options.num_threads = config.num_threads;
-  if (config.faults.enabled()) {
-    const FaultInjector injector(config.faults);
-    session_options.attempt_fault = injector.AsAttemptFaultFn();
-    session_options.retry = config.retry;
-    if (session_options.retry.seed == 0) {
-      session_options.retry.seed = config.seed;
-    }
-  }
-  LabelingSession session(session_options);
-  if (config.false_negative_rate == 0.0 &&
-      config.false_positive_rate == 0.0) {
-    GroundTruthOracle oracle = truth;
-    return session.Run(pairs, order, oracle);
-  }
-  HashNoisyOracle oracle(&truth, config.false_negative_rate,
-                         config.false_positive_rate, config.seed);
-  return session.Run(pairs, order, oracle);
+  return RunLocalSession(
+      config, truth, [&](LabelingSession& session, LabelOracle& oracle) {
+        return session.Run(pairs, order, oracle);
+      });
 }
 
 Result<StreamingCampaignStats> RunStreamingCampaign(
@@ -404,37 +423,16 @@ Result<StreamingCampaignStats> RunStreamingCampaign(
 
     const GroundTruthOracle truth(stats.entity_of);
     Rng order_rng(config.crowd.seed);
-    LabelingSessionOptions session_options;
-    session_options.schedule = SchedulePolicy::kRoundParallel;
-    session_options.num_threads = config.crowd.num_threads;
-    if (config.crowd.faults.enabled()) {
-      // The per-pair transient fault model: faulted attempts burn backoff
-      // (and retry accounting) but never an oracle call, so a transient-
-      // only plan reproduces the fault-free labels exactly.
-      const FaultInjector injector(config.crowd.faults);
-      session_options.attempt_fault = injector.AsAttemptFaultFn();
-      session_options.retry = config.crowd.retry;
-      if (session_options.retry.seed == 0) {
-        session_options.retry.seed = config.crowd.seed;
-      }
-    }
     const SessionCheckpointOptions* checkpoint =
         config.checkpoint.path.empty() ? nullptr : &config.checkpoint;
-    LabelingSession session(session_options);
-    if (config.crowd.false_negative_rate == 0.0 &&
-        config.crowd.false_positive_rate == 0.0) {
-      GroundTruthOracle oracle = truth;
-      CJ_ASSIGN_OR_RETURN(stats.labeling,
-                          session.RunStream(*feed, config.order, oracle,
-                                            &truth, &order_rng, checkpoint));
-    } else {
-      HashNoisyOracle oracle(&truth, config.crowd.false_negative_rate,
-                             config.crowd.false_positive_rate,
-                             config.crowd.seed);
-      CJ_ASSIGN_OR_RETURN(stats.labeling,
-                          session.RunStream(*feed, config.order, oracle,
-                                            &truth, &order_rng, checkpoint));
-    }
+    CJ_ASSIGN_OR_RETURN(
+        stats.labeling,
+        RunLocalSession(
+            config.crowd, truth,
+            [&](LabelingSession& session, LabelOracle& oracle) {
+              return session.RunStream(*feed, config.order, oracle, &truth,
+                                       &order_rng, checkpoint);
+            }));
     stats.num_candidates = feed->num_candidates();
     return stats;
   }

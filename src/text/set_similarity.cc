@@ -92,28 +92,6 @@ double MergeVerifyBranchy(const int32_t* a, size_t na, const int32_t* b,
   return FinishVerify(overlap, required, na, nb);
 }
 
-double MergeVerifyBlock(const int32_t* a, size_t na, const int32_t* b,
-                        size_t nb, size_t i, size_t j, size_t overlap,
-                        size_t required) {
-  // Each step advances i and j by at most one, so a run bounded by both
-  // remainders cannot overrun either range; the unreachability check then
-  // amortizes to once per block instead of once per element.
-  constexpr size_t kBlock = 16;
-  while (true) {
-    size_t run = std::min({kBlock, na - i, nb - j});
-    if (run == 0) break;
-    for (; run > 0; --run) {
-      const int32_t va = a[i];
-      const int32_t vb = b[j];
-      overlap += static_cast<size_t>(va == vb);
-      i += static_cast<size_t>(va <= vb);
-      j += static_cast<size_t>(vb <= va);
-    }
-    if (overlap + std::min(na - i, nb - j) < required) return -1.0;
-  }
-  return FinishVerify(overlap, required, na, nb);
-}
-
 double MergeVerifyGallop(const int32_t* a, size_t na, const int32_t* b,
                          size_t nb, size_t i, size_t j, size_t overlap,
                          size_t required) {
@@ -157,11 +135,8 @@ double BoundedJaccardSeeded(const int32_t* a, size_t na, const int32_t* b,
   }
   // Measured (bench/micro_verify + the scale_sweep SF 100 join phase,
   // BASELINES.md): the branch-per-element merge with mismatch-only exit
-  // checks beats the branchless block merge ~2.4x on this workload's
-  // short documents (~10 tokens) and ~10% end-to-end at SF 100; the
-  // block variant only edges ahead on long docs at mid thresholds.
-  // Branchy is therefore the default; the block kernel stays exported
-  // and benchmarked so the choice remains an empirical one.
+  // checks beats a branchless block merge ~2.4x on this workload's short
+  // documents (~10 tokens) and ~10% end-to-end at SF 100.
   return internal::MergeVerifyBranchy(a, na, b, nb, a_pos, b_pos,
                                       seed_overlap, required);
 }

@@ -74,7 +74,7 @@ namespace internal {
 
 /// The verification merge kernels behind `BoundedJaccardSeeded`, exposed
 /// for `bench/micro_verify` so kernel choices stay measured, not assumed.
-/// All three resume at (i, j) with `overlap` matches banked and return
+/// Both resume at (i, j) with `overlap` matches banked and return
 /// the exact Jaccard of the full (na, nb) sets or -1.0 once `required`
 /// overlap is unreachable.
 
@@ -84,21 +84,14 @@ double MergeVerifyBranchy(const int32_t* a, size_t na, const int32_t* b,
                           size_t nb, size_t i, size_t j, size_t overlap,
                           size_t required);
 
-/// Branchless block merge: fixed-size runs of compare/advance steps the
-/// compiler turns into straight-line conditional moves, with the
-/// unreachability check hoisted to once per block.
-double MergeVerifyBlock(const int32_t* a, size_t na, const int32_t* b,
-                        size_t nb, size_t i, size_t j, size_t overlap,
-                        size_t required);
-
 /// Galloping merge for size-skewed pairs: `a` must be the *smaller*
 /// remaining side; each a-element exponential-searches forward in b.
 double MergeVerifyGallop(const int32_t* a, size_t na, const int32_t* b,
                          size_t nb, size_t i, size_t j, size_t overlap,
                          size_t required);
 
-/// Remaining-size ratio at which `BoundedJaccardSeeded` switches from the
-/// block merge to the galloping path.
+/// Remaining-size ratio at which `BoundedJaccardSeeded` switches from
+/// `MergeVerifyBranchy` to the galloping path.
 inline constexpr size_t kGallopSkew = 8;
 
 }  // namespace internal

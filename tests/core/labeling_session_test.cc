@@ -1,14 +1,16 @@
 // Unit tests for the unified LabelingSession: the policy matrix (schedule ×
-// stop × rules × input), the streaming drive, and the report invariants.
-// Byte-level equivalence against the five legacy engines lives in
+// stop × rules × input), the streaming drive, the report invariants, and
+// Algorithm 3's must-crowdsource scan. Byte-level equivalence against
+// frozen ports of the pre-session engines lives in
 // session_equivalence_test.cc.
 
 #include "core/labeling_session.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
-#include <numeric>
+#include <optional>
 
 #include "core/labeling_order.h"
 #include "tests/core/test_fixtures.h"
@@ -18,14 +20,9 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
 using testing_fixtures::ThreadSafeCountingOracle;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 LabelingSession MakeSession(SchedulePolicy schedule, int num_threads = 1,
                             StopPolicy stop = StopPolicy::Unbounded()) {
@@ -168,13 +165,25 @@ TEST(LabelingSession, BudgetCapsBothSchedules) {
   const auto order = IdentityOrder(instance.pairs.size());
   for (SchedulePolicy schedule :
        {SchedulePolicy::kSequential, SchedulePolicy::kRoundParallel}) {
-    for (int64_t budget : {0, 5, 25}) {
+    GroundTruthOracle zero_oracle(instance.entity_of);
+    LabelingSession zero_session =
+        MakeSession(schedule, 1, StopPolicy::Budget(0));
+    const LabelingReport zero_budget =
+        zero_session.Run(instance.pairs, order, zero_oracle).value();
+    for (int64_t budget : {-5, 0, 5, 25}) {
       GroundTruthOracle oracle(instance.entity_of);
       LabelingSession session =
           MakeSession(schedule, 1, StopPolicy::Budget(budget));
       const LabelingReport report =
           session.Run(instance.pairs, order, oracle).value();
-      EXPECT_LE(report.num_crowdsourced, budget)
+      if (budget <= 0) {
+        // A negative budget clamps to 0: nothing is crowdsourced, and the
+        // report is the zero-budget one.
+        EXPECT_EQ(report.num_crowdsourced, 0);
+        EXPECT_TRUE(report == zero_budget)
+            << SchedulePolicyToString(schedule) << " budget=" << budget;
+      }
+      EXPECT_LE(report.num_crowdsourced, std::max<int64_t>(budget, 0))
           << SchedulePolicyToString(schedule) << " budget=" << budget;
       EXPECT_EQ(oracle.num_queries(), report.num_crowdsourced);
       EXPECT_EQ(report.num_crowdsourced + report.num_deduced +
@@ -364,6 +373,44 @@ TEST(LabelingSession, StreamNeverAsksAPairTwice) {
       session.RunStream(stream, OrderKind::kExpected, oracle).value();
   EXPECT_EQ(oracle.total_calls(), report.num_crowdsourced);
   EXPECT_LE(oracle.max_calls_per_pair(), 1);
+}
+
+// --- Algorithm 3's must-crowdsource scan ----------------------------------
+
+TEST(ParallelCrowdsourcedPairs, Example5FirstIteration) {
+  // Section 5.1, Example 5: with nothing labeled, the first batch must be
+  // {p1, p2, p3, p5, p6} (positions 0, 1, 2, 4, 5).
+  const CandidateSet pairs = Figure3Pairs();
+  std::vector<std::optional<Label>> labels(pairs.size());
+  const std::vector<int32_t> batch =
+      ParallelCrowdsourcedPairs(pairs, IdentityOrder(pairs.size()), labels);
+  EXPECT_EQ(batch, (std::vector<int32_t>{0, 1, 2, 4, 5}));
+}
+
+TEST(ParallelCrowdsourcedPairs, Example5SecondIteration) {
+  // After p1,p2,p3,p5,p6 are labeled and p4,p8 deduced, only p7 remains.
+  const CandidateSet pairs = Figure3Pairs();
+  std::vector<std::optional<Label>> labels(pairs.size());
+  labels[0] = Label::kMatching;      // p1
+  labels[1] = Label::kMatching;      // p2
+  labels[2] = Label::kNonMatching;   // p3
+  labels[3] = Label::kMatching;      // p4 (deduced from p1, p2)
+  labels[4] = Label::kMatching;      // p5
+  labels[5] = Label::kNonMatching;   // p6
+  labels[7] = Label::kNonMatching;   // p8 (deduced from p5, p6)
+  const std::vector<int32_t> batch =
+      ParallelCrowdsourcedPairs(pairs, IdentityOrder(pairs.size()), labels);
+  EXPECT_EQ(batch, (std::vector<int32_t>{6}));  // p7
+}
+
+TEST(ParallelCrowdsourcedPairs, ExcludesPublishedPairsFromOutput) {
+  const CandidateSet pairs = Figure3Pairs();
+  std::vector<std::optional<Label>> labels(pairs.size());
+  std::vector<bool> published(pairs.size(), false);
+  published[0] = published[2] = true;
+  const std::vector<int32_t> batch = ParallelCrowdsourcedPairs(
+      pairs, IdentityOrder(pairs.size()), labels, &published);
+  EXPECT_EQ(batch, (std::vector<int32_t>{1, 4, 5}));
 }
 
 }  // namespace

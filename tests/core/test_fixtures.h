@@ -4,14 +4,34 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/candidate.h"
+#include "core/labeling_session.h"
 #include "core/oracle.h"
 
 namespace crowdjoin::testing_fixtures {
+
+/// The identity labeling order `0, 1, ..., n - 1`.
+inline std::vector<int32_t> IdentityOrder(size_t n) {
+  std::vector<int32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+/// Options selecting one cell of the session's policy matrix.
+inline LabelingSessionOptions SessionOptions(
+    SchedulePolicy schedule, int num_threads = 1,
+    ConflictPolicy policy = ConflictPolicy::kKeepFirst) {
+  LabelingSessionOptions options;
+  options.schedule = schedule;
+  options.num_threads = num_threads;
+  options.conflict_policy = policy;
+  return options;
+}
 
 /// The paper's running example (Figure 3): eight candidate pairs over six
 /// objects (o1..o6 mapped to ids 0..5), in decreasing likelihood order.
@@ -70,10 +90,10 @@ inline RandomInstance MakeRandomInstance(uint64_t seed, int32_t num_objects,
 
 /// \brief Truth-backed oracle with mutex-guarded per-pair call counting.
 ///
-/// The parallel labeler may call `GetLabel` from several pool workers at
-/// once, so all bookkeeping here is guarded — concurrent tests can assert
-/// *exact* oracle-call counts (total and per pair) without racing, and a
-/// TSan run of the suite stays clean.
+/// The round-parallel schedule may call `GetLabel` from several pool
+/// workers at once, so all bookkeeping here is guarded — concurrent tests
+/// can assert *exact* oracle-call counts (total and per pair) without
+/// racing, and a TSan run of the suite stays clean.
 class ThreadSafeCountingOracle : public LabelOracle {
  public:
   explicit ThreadSafeCountingOracle(std::vector<int32_t> entity_of)
@@ -124,10 +144,10 @@ class ThreadSafeCountingOracle : public LabelOracle {
 /// map, `fallback` for everything unscripted.
 ///
 /// Call counting is mutex-guarded so the mock can be shared across the
-/// parallel labeler's worker threads. Because every answer is a pure
-/// function of the pair, the mock is batch-safe; scripting *inconsistent*
-/// answers (violating transitivity) is the supported way to exercise
-/// conflict handling deterministically.
+/// round-parallel schedule's worker threads. Because every answer is a
+/// pure function of the pair, the mock is batch-safe; scripting
+/// *inconsistent* answers (violating transitivity) is the supported way to
+/// exercise conflict handling deterministically.
 class MockOracle : public LabelOracle {
  public:
   explicit MockOracle(

@@ -6,8 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/labeling_order.h"
-#include "core/parallel_labeler.h"
-#include "core/sequential_labeler.h"
+#include "core/labeling_session.h"
 #include "crowd/orchestrator.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
@@ -18,6 +17,18 @@
 
 namespace crowdjoin {
 namespace {
+
+// Labels `pairs` in `order` under `schedule`, fanning oracle calls over
+// `num_threads` workers (round-parallel only).
+LabelingReport RunSession(SchedulePolicy schedule, const CandidateSet& pairs,
+                          const std::vector<int32_t>& order,
+                          LabelOracle& oracle, int num_threads = 1) {
+  LabelingSessionOptions options;
+  options.schedule = schedule;
+  options.num_threads = num_threads;
+  LabelingSession session(options);
+  return session.Run(pairs, order, oracle).value();
+}
 
 CandidateSet SmallPaperCandidates(Dataset* dataset_out) {
   PaperDatasetConfig config;
@@ -46,17 +57,17 @@ TEST(EndToEnd, PaperPipelinePerfectOracleIsLossless) {
       MakeLabelingOrder(candidates, OrderKind::kExpected, &truth, nullptr)
           .value();
   GroundTruthOracle oracle = truth;
-  const LabelingResult result =
-      ParallelLabeler().Run(candidates, order, oracle).value();
+  const LabelingReport result =
+      RunSession(SchedulePolicy::kRoundParallel, candidates, order, oracle);
 
   // Transitivity must save work on a clustered dataset...
   EXPECT_LT(result.num_crowdsourced,
             static_cast<int64_t>(candidates.size()));
   EXPECT_GT(result.num_deduced, 0);
   // ...without losing any quality under correct answers.
-  std::vector<Label> labels;
-  for (const auto& outcome : result.outcomes) labels.push_back(outcome.label);
-  const QualityMetrics quality = ComputeQuality(candidates, labels, truth);
+  EXPECT_EQ(result.num_unlabeled, 0);
+  const QualityMetrics quality =
+      ComputeQuality(candidates, ExtractFinalLabels(result), truth);
   EXPECT_DOUBLE_EQ(quality.f_measure, 1.0);
 }
 
@@ -72,23 +83,22 @@ TEST(EndToEnd, PaperPipelineThreadedLabelingIsIdenticalAndLossless) {
           .value();
 
   GroundTruthOracle oracle_single = truth;
-  const LabelingResult single =
-      ParallelLabeler(ConflictPolicy::kKeepFirst, /*num_threads=*/1)
-          .Run(candidates, order, oracle_single)
-          .value();
+  const LabelingReport single =
+      RunSession(SchedulePolicy::kRoundParallel, candidates, order,
+                 oracle_single, /*num_threads=*/1);
   for (int num_threads : {2, 4, 8}) {
     GroundTruthOracle oracle = truth;
-    const LabelingResult threaded =
-        ParallelLabeler(ConflictPolicy::kKeepFirst, num_threads)
-            .Run(candidates, order, oracle)
-            .value();
+    const LabelingReport threaded = RunSession(
+        SchedulePolicy::kRoundParallel, candidates, order, oracle,
+        num_threads);
     ASSERT_TRUE(threaded == single) << "num_threads=" << num_threads;
     EXPECT_EQ(oracle.num_queries(), single.num_crowdsourced);
   }
 
-  std::vector<Label> labels;
-  for (const auto& outcome : single.outcomes) labels.push_back(outcome.label);
-  EXPECT_DOUBLE_EQ(ComputeQuality(candidates, labels, truth).f_measure, 1.0);
+  EXPECT_EQ(single.num_unlabeled, 0);
+  EXPECT_DOUBLE_EQ(
+      ComputeQuality(candidates, ExtractFinalLabels(single), truth).f_measure,
+      1.0);
 }
 
 TEST(EndToEnd, RoundBasedParallelAmtCampaign) {
@@ -137,11 +147,12 @@ TEST(EndToEnd, ProductPipelineBipartite) {
       MakeLabelingOrder(candidates, OrderKind::kExpected, &truth, nullptr)
           .value();
   GroundTruthOracle oracle = truth;
-  const LabelingResult result =
-      SequentialLabeler().Run(candidates, order, oracle).value();
-  std::vector<Label> labels;
-  for (const auto& outcome : result.outcomes) labels.push_back(outcome.label);
-  EXPECT_DOUBLE_EQ(ComputeQuality(candidates, labels, truth).f_measure, 1.0);
+  const LabelingReport result =
+      RunSession(SchedulePolicy::kSequential, candidates, order, oracle);
+  EXPECT_EQ(result.num_unlabeled, 0);
+  EXPECT_DOUBLE_EQ(
+      ComputeQuality(candidates, ExtractFinalLabels(result), truth).f_measure,
+      1.0);
 }
 
 TEST(EndToEnd, CandidateRecallCoversMostTruePairs) {

@@ -188,11 +188,8 @@ TEST(MergeVerifyKernels, AllVariantsAgree) {
     if (required > std::min(a.size(), b.size())) continue;  // entry guard
     const double branchy = internal::MergeVerifyBranchy(
         a.data(), a.size(), b.data(), b.size(), 0, 0, 0, required);
-    const double block = internal::MergeVerifyBlock(
-        a.data(), a.size(), b.data(), b.size(), 0, 0, 0, required);
     const double gallop = internal::MergeVerifyGallop(
         a.data(), a.size(), b.data(), b.size(), 0, 0, 0, required);
-    EXPECT_DOUBLE_EQ(branchy, block) << "trial=" << trial;
     EXPECT_DOUBLE_EQ(branchy, gallop) << "trial=" << trial;
     if (branchy != -1.0) {
       EXPECT_DOUBLE_EQ(branchy, JaccardSimilarity(a, b))
