@@ -5,10 +5,16 @@
 // one; the price is a virtual-call rule chain and a report struct. This
 // bench pins that price: `Session*` variants must stay within ~2% of the
 // matching `Direct*` loop (the perf CI job flags >15% regressions, and the
-// recorded baselines in BASELINES.md track the fine-grained ratio).
+// recorded baselines in BASELINES.md track the fine-grained ratio). The
+// round-parallel session scans only past its settled frontier, so it runs
+// ahead of `DirectRoundParallel`, which rescans the whole order.
+//
+// `BM_ExpectedOrder*` time the expected labeling order's radix sort
+// against a comparison sort with the same output.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -16,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/labeling_order.h"
 #include "core/labeling_session.h"
 #include "core/oracle.h"
 #include "graph/cluster_graph.h"
@@ -183,6 +190,45 @@ void BM_SessionRoundParallel(benchmark::State& state) {
                           static_cast<int64_t>(instance.pairs.size()));
 }
 BENCHMARK(BM_SessionRoundParallel)->Arg(256)->Arg(2048)->Arg(8192);
+
+// The expected (likelihood) labeling order every round-parallel pass sorts
+// first: `MakeLabelingOrder`'s flat radix sort over likelihood keys ...
+void BM_ExpectedOrder(benchmark::State& state) {
+  const Instance instance = MakeInstance(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        MakeLabelingOrder(instance.pairs, OrderKind::kExpected, nullptr,
+                          nullptr)
+            .value());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(instance.pairs.size()));
+}
+BENCHMARK(BM_ExpectedOrder)->Arg(20000)->Arg(100000)->Arg(1000000);
+
+// ... against a comparison sort with the same output, whose comparator
+// reads both pairs on every comparison.
+void BM_ExpectedOrderComparisonSort(benchmark::State& state) {
+  const Instance instance = MakeInstance(state.range(0));
+  const CandidateSet& pairs = instance.pairs;
+  for (auto _ : state) {
+    std::vector<int32_t> order(pairs.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
+      const double lx = pairs[static_cast<size_t>(x)].likelihood;
+      const double ly = pairs[static_cast<size_t>(y)].likelihood;
+      if (lx != ly) return lx > ly;
+      return x < y;
+    });
+    benchmark::DoNotOptimize(order);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pairs.size()));
+}
+BENCHMARK(BM_ExpectedOrderComparisonSort)
+    ->Arg(20000)
+    ->Arg(100000)
+    ->Arg(1000000);
 
 // The one-to-one rule chain: dispatch cost of a second rule in the chain.
 void BM_SessionOneToOneChain(benchmark::State& state) {

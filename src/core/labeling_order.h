@@ -34,6 +34,8 @@ std::string_view OrderKindToString(OrderKind kind);
 /// `truth` is required for kOptimal / kWorst (they partition by the real
 /// label); `rng` is required for kRandom. Ties inside a group are broken by
 /// decreasing likelihood, then by position, so orders are deterministic.
+/// -0.0 and +0.0 are one likelihood, and NaN likelihoods go after every
+/// other pair of their group, by position.
 ///
 /// Returns InvalidArgument when a required input is missing.
 Result<std::vector<int32_t>> MakeLabelingOrder(const CandidateSet& pairs,

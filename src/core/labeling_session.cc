@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -246,8 +247,7 @@ namespace {
 // snapshot of one).
 template <typename Graph>
 std::vector<int32_t> ScanPublish(
-    Graph& graph, const CandidateSet& pairs,
-    const std::vector<int32_t>& order,
+    Graph& graph, const CandidateSet& pairs, std::span<const int32_t> order,
     const std::vector<std::optional<Label>>& labels_by_pos,
     const std::vector<bool>* exclude_from_output) {
   std::vector<int32_t> publish;
@@ -272,28 +272,36 @@ std::vector<int32_t> ScanPublish(
   return publish;
 }
 
-// The Algorithm-2 round loop, generic over how each scan obtains its
-// graph: `make_graph()` builds a fresh value per scan — a ClusterGraph
+// The Algorithm-2 round loop, generic over the scan graph: a ClusterGraph
 // for materialized runs (`fresh_graphs`), or an OverlayClusterGraph over
-// the persistent graph's snapshot for streaming rounds.
-template <typename MakeGraph>
+// the persistent graph's snapshot for streaming rounds. `settled` is the
+// empty scan graph on entry.
+//
+// Both scans of an iteration Add every labeled pair they pass, and a label
+// never changes once set. So up to the first unlabeled entry of `order` —
+// the settled frontier — every scan of every later iteration builds the
+// same graph. `settled` holds that graph, and each scan starts from a copy
+// of it at the frontier instead of replaying the whole order: an
+// iteration's scan work is the unsettled suffix, not the round.
+template <typename Graph>
 Status RunRoundsImpl(const CandidateSet& pairs,
                      const std::vector<int32_t>& order,
                      const BatchLabelFn& label_batch, bool fresh_graphs,
-                     const MakeGraph& make_graph, int64_t& remaining_budget,
+                     Graph settled, int64_t& remaining_budget,
                      size_t report_offset, LabelingReport& report) {
   const size_t n = pairs.size();
   std::vector<std::optional<Label>> labels(n);
   size_t num_labeled = 0;
+  size_t frontier = 0;  // order[0, frontier) is labeled and in `settled`
 
   while (num_labeled < n) {
     obs::Span iteration_span("session.iteration", "session");
     // Identify and "publish" this round's batch (Algorithm 2, line 4).
     std::vector<int32_t> batch;
     {
-      auto graph = make_graph();
-      batch = ScanPublish(graph, pairs, order, labels,
-                          /*exclude_from_output=*/nullptr);
+      Graph graph = settled;
+      batch = ScanPublish(graph, pairs, std::span(order).subspan(frontier),
+                          labels, /*exclude_from_output=*/nullptr);
     }
     // Without outside knowledge, undeduced pairs always remain publishable;
     // a seeded scan (earlier streaming rounds) can make a whole batch
@@ -330,8 +338,9 @@ Status RunRoundsImpl(const CandidateSet& pairs,
     // Deduce every pair that became deducible from its prefix of labeled
     // pairs (lines 6-8): one ordered scan, cascading deductions.
     size_t scan_deduced = 0;
-    auto graph = make_graph();
-    for (int32_t pos : order) {
+    Graph graph = settled;
+    for (size_t i = frontier; i < n; ++i) {
+      const int32_t pos = order[i];
       const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
       auto& label = labels[static_cast<size_t>(pos)];
       if (label.has_value()) {
@@ -357,6 +366,16 @@ Status RunRoundsImpl(const CandidateSet& pairs,
       // this branch needs an exhausted budget).
       CJ_CHECK(remaining_budget == 0);
       break;
+    }
+    // Fold the newly final prefix into `settled` — only when another
+    // iteration will read it (most stream rounds finish in one).
+    if (num_labeled == n) break;
+    for (; frontier < n; ++frontier) {
+      const int32_t pos = order[frontier];
+      const std::optional<Label>& label = labels[static_cast<size_t>(pos)];
+      if (!label.has_value()) break;
+      const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
+      settled.Add(pair.a, pair.b, *label);
     }
   }
   report.num_unlabeled += static_cast<int64_t>(n - num_labeled);
@@ -535,19 +554,16 @@ Status LabelingSession::RunRoundsOver(const CandidateSet& pairs,
                                       size_t report_offset,
                                       LabelingReport& report) {
   if (base != nullptr) {
-    // Streaming round seeded by the persistent graph: each scan reads the
-    // epoch snapshot through a fresh O(1) overlay instead of copying the
-    // whole graph, so per-round cost tracks round size, not total objects.
-    return RunRoundsImpl(
-        pairs, order, label_batch, /*fresh_graphs=*/false,
-        [&] { return OverlayClusterGraph(base, policy); }, remaining_budget_,
-        report_offset, report);
+    // Streaming round seeded by the persistent graph: scans read the epoch
+    // snapshot through an O(1) overlay instead of copying the whole graph,
+    // so per-round cost tracks round size, not total objects.
+    return RunRoundsImpl(pairs, order, label_batch, /*fresh_graphs=*/false,
+                         OverlayClusterGraph(base, policy), remaining_budget_,
+                         report_offset, report);
   }
-  const int32_t num_objects = NumObjectsSpanned(pairs);
-  return RunRoundsImpl(
-      pairs, order, label_batch, /*fresh_graphs=*/true,
-      [&] { return ClusterGraph(num_objects, policy); }, remaining_budget_,
-      report_offset, report);
+  return RunRoundsImpl(pairs, order, label_batch, /*fresh_graphs=*/true,
+                       ClusterGraph(NumObjectsSpanned(pairs), policy),
+                       remaining_budget_, report_offset, report);
 }
 
 Result<LabelingReport> LabelingSession::RunRoundsWithOracle(
@@ -798,12 +814,11 @@ Result<LabelingReport> LabelingSession::RunStream(
     // need no fold — they are implied by the graph that produced them.
     // The prefix-based scan semantics that keep a one-round stream
     // byte-identical to the materialized run rule out scanning the
-    // persistent graph in place, so each Algorithm-2 iteration used to
-    // copy it twice (publish scan + deduction scan) — O(total objects
-    // seen) per round. Scans now read a published epoch snapshot through
-    // a fresh OverlayClusterGraph, making per-scan setup O(1) and scan
-    // work proportional to the round, while the snapshot isolates them
-    // from the fold-back mutations below.
+    // persistent graph in place. Scans read a published epoch snapshot
+    // through an OverlayClusterGraph instead: the round's settled graph
+    // starts as an empty overlay (O(1) setup), each Algorithm-2 iteration
+    // scans only the round's unsettled suffix from a copy of it, and the
+    // snapshot isolates all of them from the fold-back mutations below.
     const BatchLabelFn batch_fn =
         [&](const std::vector<int32_t>& batch) -> Result<std::vector<Label>> {
       return ParallelMap(

@@ -349,8 +349,9 @@ class LabelingSession {
                     LabelOracle& oracle, LabelingReport& report);
   // Round-parallel engine over one candidate window. `base` seeds every
   // scan with prior knowledge as an epoch snapshot read through an
-  // O(round) overlay (null = fresh graphs, the legacy materialized
-  // behavior); `report_offset` maps window positions into the report.
+  // O(round) overlay (null = a fresh ClusterGraph, the legacy materialized
+  // behavior); each scan starts at the window's settled frontier.
+  // `report_offset` maps window positions into the report.
   Status RunRoundsOver(const CandidateSet& pairs,
                        const std::vector<int32_t>& order,
                        const BatchLabelFn& label_batch, ConflictPolicy policy,

@@ -19,10 +19,81 @@ uint8_t EncodeOutcome(const std::optional<PairOutcome>& outcome) {
                               (static_cast<uint8_t>(outcome->source) << 2));
 }
 
-std::optional<PairOutcome> DecodeOutcome(uint8_t byte) {
-  if ((byte & 1u) == 0) return std::nullopt;
-  return PairOutcome{static_cast<Label>((byte >> 1) & 1u),
-                     static_cast<LabelSource>((byte >> 2) & 1u)};
+// The inverse of EncodeOutcome; InvalidArgument for a byte it never writes.
+Result<std::optional<PairOutcome>> DecodeOutcome(uint8_t byte) {
+  if (byte == 0) return std::optional<PairOutcome>();
+  if ((byte & 1u) == 0 || byte > 7) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint outcome byte %u is malformed",
+                  static_cast<unsigned>(byte)));
+  }
+  return std::optional<PairOutcome>(
+      PairOutcome{static_cast<Label>((byte >> 1) & 1u),
+                  static_cast<LabelSource>((byte >> 2) & 1u)});
+}
+
+// The invariants every frontier `RunStream` writes satisfies. A checksum
+// only proves the bytes are the ones written; this proves they describe a
+// state the resume path can replay (edge ids inside the object space, the
+// report's counts non-negative and consistent with its outcomes).
+Status ValidateState(const SessionCheckpointState& state) {
+  if (state.completed_rounds < 0 || state.num_objects < 0 ||
+      state.remaining_budget < -1) {
+    return Status::InvalidArgument(
+        "checkpoint has a negative round count, object count or budget");
+  }
+  if (state.num_stream_rounds != state.completed_rounds) {
+    return Status::InvalidArgument(
+        "checkpoint stream-round count disagrees with its completed rounds");
+  }
+  const auto num_outcomes = static_cast<int64_t>(state.outcomes.size());
+  if (state.num_candidates != num_outcomes ||
+      state.candidates_consumed != num_outcomes) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint candidate counts (%lld, %lld) disagree with its %lld "
+        "outcomes",
+        static_cast<long long>(state.num_candidates),
+        static_cast<long long>(state.candidates_consumed),
+        static_cast<long long>(num_outcomes)));
+  }
+  int64_t crowdsourced = 0;
+  int64_t deduced = 0;
+  for (const auto& outcome : state.outcomes) {
+    if (!outcome.has_value()) continue;
+    if (outcome->source == LabelSource::kCrowdsourced) {
+      ++crowdsourced;
+    } else {
+      ++deduced;
+    }
+  }
+  if (state.num_crowdsourced != crowdsourced ||
+      state.num_deduced != deduced ||
+      state.num_unlabeled != num_outcomes - crowdsourced - deduced) {
+    return Status::InvalidArgument(
+        "checkpoint label counts disagree with its outcomes");
+  }
+  int64_t batched = 0;
+  for (int64_t batch : state.crowdsourced_per_iteration) {
+    if (batch <= 0 || batch > crowdsourced - batched) {
+      return Status::InvalidArgument(
+          "checkpoint batch sizes disagree with its crowdsourced count");
+    }
+    batched += batch;
+  }
+  if (batched != crowdsourced) {
+    return Status::InvalidArgument(
+        "checkpoint batch sizes disagree with its crowdsourced count");
+  }
+  for (const LoggedEdge& edge : state.edge_log) {
+    // ClusterGraph::Add, which replays the log, takes two distinct objects.
+    if (edge.a < 0 || edge.b < 0 || edge.a >= state.num_objects ||
+        edge.b >= state.num_objects || edge.a == edge.b) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint edge (%d, %d) is not a pair of its %d objects", edge.a,
+          edge.b, state.num_objects));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -92,6 +163,9 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
   CJ_ASSIGN_OR_RETURN(state.num_unlabeled, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(state.num_stream_rounds, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(const uint64_t num_batches, r.ReadU64());
+  if (num_batches > r.remaining() / 8) {
+    return Status::OutOfRange("batch count exceeds buffer");
+  }
   state.crowdsourced_per_iteration.reserve(num_batches);
   for (uint64_t i = 0; i < num_batches; ++i) {
     CJ_ASSIGN_OR_RETURN(const int64_t batch, r.ReadI64());
@@ -104,7 +178,9 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
   state.outcomes.reserve(num_outcomes);
   for (uint64_t i = 0; i < num_outcomes; ++i) {
     CJ_ASSIGN_OR_RETURN(const uint8_t byte, r.ReadU8());
-    state.outcomes.push_back(DecodeOutcome(byte));
+    CJ_ASSIGN_OR_RETURN(std::optional<PairOutcome> outcome,
+                        DecodeOutcome(byte));
+    state.outcomes.push_back(outcome);
   }
   CJ_ASSIGN_OR_RETURN(const uint64_t num_edges, r.ReadU64());
   if (num_edges > r.remaining() / 9) {
@@ -116,12 +192,20 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
     CJ_ASSIGN_OR_RETURN(const uint32_t a, r.ReadU32());
     CJ_ASSIGN_OR_RETURN(const uint32_t b, r.ReadU32());
     CJ_ASSIGN_OR_RETURN(const uint8_t label, r.ReadU8());
+    if (label > 1) {
+      return Status::InvalidArgument(
+          StrFormat("checkpoint edge label byte %u is malformed",
+                    static_cast<unsigned>(label)));
+    }
     edge.a = static_cast<ObjectId>(a);
     edge.b = static_cast<ObjectId>(b);
-    edge.label = static_cast<Label>(label & 1u);
+    edge.label = static_cast<Label>(label);
     state.edge_log.push_back(edge);
   }
   CJ_ASSIGN_OR_RETURN(const uint8_t has_rng, r.ReadU8());
+  if (has_rng > 1) {
+    return Status::InvalidArgument("checkpoint RNG flag is malformed");
+  }
   state.has_order_rng = has_rng != 0;
   if (state.has_order_rng) {
     for (uint64_t& s : state.order_rng.s) {
@@ -135,6 +219,7 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
     return Status::InvalidArgument(
         StrFormat("checkpoint has %zu trailing bytes", r.remaining()));
   }
+  CJ_RETURN_IF_ERROR(ValidateState(state));
   return state;
 }
 

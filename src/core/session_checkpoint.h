@@ -91,7 +91,15 @@ std::string EncodeSessionCheckpoint(const SessionCheckpointState& state);
 
 /// Parses a checkpoint file's bytes. Fails with `InvalidArgument` on a
 /// bad magic/version and `OutOfRange`/`FailedPrecondition` on truncation
-/// or checksum mismatch.
+/// or checksum mismatch. A checksum-valid file must also hold a state
+/// `RunStream` could have written, or decoding fails with
+/// `InvalidArgument`:
+///  * every edge is two distinct ids in `[0, num_objects)`;
+///  * no count is negative (the budget may be -1, unbounded);
+///  * `num_stream_rounds == completed_rounds` and `num_candidates ==
+///    candidates_consumed == outcomes.size()`;
+///  * the crowdsourced / deduced / unlabeled counts equal the outcomes';
+///  * the batch sizes are positive and sum to the crowdsourced count.
 Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data);
 
 /// Loads and decodes the checkpoint at `path`. `NotFound` when absent.

@@ -8,10 +8,14 @@
 // the budget labeler, the Section 8 one-to-one labeler, and the Section
 // 5.2 instant-decision engine — kept here as the frozen ground truth. Each
 // fills only the `LabelingReport` fields its engine computed, and the
-// comparisons cover exactly those fields.
+// comparisons cover exactly those fields. A sixth reference ports the
+// round-parallel stream drive with a full rescan of the round per scan,
+// which pins the session's settled-frontier scans on multi-iteration
+// stream rounds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -245,6 +249,110 @@ LabelingReport ReferenceInstantFifo(const CandidateSet& pairs,
   return result;
 }
 
+// The expected order as first written: a stable sort by decreasing
+// likelihood, ties by position.
+std::vector<int32_t> ReferenceExpectedOrder(const CandidateSet& pairs) {
+  std::vector<int32_t> order = IdentityOrder(pairs.size());
+  std::stable_sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
+    const double lx = pairs[static_cast<size_t>(x)].likelihood;
+    const double ly = pairs[static_cast<size_t>(y)].likelihood;
+    if (lx != ly) return lx > ly;
+    return x < y;
+  });
+  return order;
+}
+
+// The round-parallel stream drive with full rescans: `pairs` arrives in
+// rounds of `round_size` (0 = one round), each round is ordered by
+// likelihood and labeled by Algorithm 2 with every scan replaying the
+// whole round over a copy of the persistent graph, and the round's crowd
+// answers are folded into that graph afterwards. A negative `budget` is
+// unbounded. Fills every report field; `max_iterations` receives the most
+// Algorithm-2 iterations any round took.
+LabelingReport ReferenceRoundParallelStream(const CandidateSet& pairs,
+                                            size_t round_size,
+                                            LabelOracle& oracle,
+                                            ConflictPolicy policy,
+                                            int64_t budget,
+                                            int* max_iterations) {
+  LabelingReport report;
+  ClusterGraph persistent(0, policy);
+  *max_iterations = 0;
+  const size_t step = round_size == 0 ? pairs.size() : round_size;
+  for (size_t start = 0; start < pairs.size(); start += step) {
+    const CandidateSet round(
+        pairs.begin() + static_cast<std::ptrdiff_t>(start),
+        pairs.begin() +
+            static_cast<std::ptrdiff_t>(std::min(start + step, pairs.size())));
+    const size_t n = round.size();
+    ++report.num_stream_rounds;
+    persistent.EnsureObjects(NumObjectsSpanned(round));
+    const std::vector<int32_t> order = ReferenceExpectedOrder(round);
+    const size_t offset = report.outcomes.size();
+    report.outcomes.resize(offset + n);
+    report.num_candidates += static_cast<int64_t>(n);
+
+    std::vector<std::optional<Label>> labels(n);
+    size_t num_labeled = 0;
+    int iterations = 0;
+    while (num_labeled < n) {
+      ++iterations;
+      std::vector<int32_t> publish = ParallelCrowdsourcedPairs(
+          round, order, labels, /*exclude_from_output=*/nullptr, policy,
+          &persistent);
+      if (budget >= 0 && static_cast<int64_t>(publish.size()) > budget) {
+        publish.resize(static_cast<size_t>(budget));
+      }
+      for (int32_t pos : publish) {
+        const CandidatePair& pair = round[static_cast<size_t>(pos)];
+        const Label label = oracle.GetLabel(pair.a, pair.b);
+        labels[static_cast<size_t>(pos)] = label;
+        report.outcomes[offset + static_cast<size_t>(pos)] =
+            PairOutcome{label, LabelSource::kCrowdsourced};
+        ++report.num_crowdsourced;
+        ++num_labeled;
+      }
+      if (!publish.empty()) {
+        if (budget > 0) budget -= static_cast<int64_t>(publish.size());
+        report.crowdsourced_per_iteration.push_back(
+            static_cast<int64_t>(publish.size()));
+      }
+      size_t deduced = 0;
+      ClusterGraph graph = persistent;
+      for (int32_t pos : order) {
+        const CandidatePair& pair = round[static_cast<size_t>(pos)];
+        auto& label = labels[static_cast<size_t>(pos)];
+        if (label.has_value()) {
+          graph.Add(pair.a, pair.b, *label);
+          continue;
+        }
+        const Deduction deduction = graph.Deduce(pair.a, pair.b);
+        if (deduction != Deduction::kUndeduced) {
+          label = DeductionToLabel(deduction);
+          report.outcomes[offset + static_cast<size_t>(pos)] =
+              PairOutcome{*label, LabelSource::kDeduced};
+          ++report.num_deduced;
+          ++num_labeled;
+          ++deduced;
+        }
+      }
+      if (publish.empty() && deduced == 0) break;  // budget exhausted
+    }
+    *max_iterations = std::max(*max_iterations, iterations);
+    report.num_unlabeled += static_cast<int64_t>(n - num_labeled);
+    for (int32_t pos : order) {
+      const auto& outcome = report.outcomes[offset + static_cast<size_t>(pos)];
+      if (outcome.has_value() &&
+          outcome->source == LabelSource::kCrowdsourced) {
+        const CandidatePair& pair = round[static_cast<size_t>(pos)];
+        persistent.Add(pair.a, pair.b, outcome->label);
+      }
+    }
+  }
+  report.num_conflicts = persistent.num_conflicts();
+  return report;
+}
+
 // --- The matrix -----------------------------------------------------------
 
 struct OracleFactory {
@@ -431,6 +539,52 @@ TEST_F(SessionEquivalence, InstantScheduleMatchesReference) {
       }
     }
   }
+}
+
+// Chunked streams whose rounds need several Algorithm-2 iterations: the
+// session's settled-frontier scans (a copied overlay at the frontier, the
+// unsettled suffix only) must reproduce full rescans byte for byte.
+TEST_F(SessionEquivalence, RoundParallelStreamMatchesFullRescanReference) {
+  int multi_iteration_runs = 0;
+  for (const RandomInstance& instance : Instances()) {
+    GroundTruthOracle truth(instance.entity_of);
+    for (size_t round_size : {size_t{0}, size_t{13}, size_t{40}}) {
+      for (ConflictPolicy policy :
+           {ConflictPolicy::kKeepFirst, ConflictPolicy::kTrustNew}) {
+        for (double error_rate : {0.0, 0.1, 0.25, 0.4}) {
+          for (int64_t budget : {int64_t{-1}, int64_t{12}}) {
+            const OracleFactory oracles{&truth, error_rate, 31};
+            auto ref_oracle = oracles.Make();
+            int max_iterations = 0;
+            const LabelingReport expected = ReferenceRoundParallelStream(
+                instance.pairs, round_size, *ref_oracle, policy, budget,
+                &max_iterations);
+            if (max_iterations >= 2) ++multi_iteration_runs;
+            for (int threads : {1, 4}) {
+              LabelingSessionOptions options =
+                  testing_fixtures::SessionOptions(
+                      SchedulePolicy::kRoundParallel, threads, policy);
+              if (budget >= 0) options.stop = StopPolicy::Budget(budget);
+              LabelingSession session(options);
+              auto oracle = oracles.Make();
+              MaterializedCandidateStream stream(&instance.pairs, round_size);
+              const LabelingReport actual =
+                  session.RunStream(stream, OrderKind::kExpected, *oracle)
+                      .value();
+              ASSERT_TRUE(actual == expected)
+                  << "round_size=" << round_size
+                  << " policy=" << static_cast<int>(policy)
+                  << " error_rate=" << error_rate << " budget=" << budget
+                  << " threads=" << threads;
+              EXPECT_EQ(oracle->num_queries(), ref_oracle->num_queries());
+            }
+          }
+        }
+      }
+    }
+  }
+  // The comparison is only meaningful if rounds really iterate.
+  EXPECT_GT(multi_iteration_runs, 50);
 }
 
 }  // namespace
